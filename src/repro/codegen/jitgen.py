@@ -31,7 +31,7 @@ from repro.codegen.select import (
     Selector,
     repr_of_type,
 )
-from repro.codegen.runtime_support import SCALAR_MATH
+from repro.codegen.runtime_support import COMPLEX_BINOPS, SCALAR_MATH
 from repro.typesys.intrinsic import Intrinsic
 from repro.typesys.mtype import MType
 from repro.typesys.signature import Signature
@@ -120,50 +120,6 @@ class CompiledObject:
     @property
     def source(self) -> str:
         return self.emitted.source
-
-    # Lazily built fast-path acceptance table: for signatures made purely
-    # of scalar formals with top ranges, safety can be checked per argument
-    # with two precomputed booleans instead of full MType construction.
-    _fast_table = None
-
-    def fast_accepts(self, arg_values) -> bool:
-        """Cheap sufficient (not necessary) safety check for hot calls."""
-        table = self._fast_table
-        if table is None:
-            table = self._build_fast_table()
-            self._fast_table = table
-        if table is False or len(arg_values) != len(table):
-            return False
-        from repro.runtime.mxarray import IntrinsicClass
-
-        for value, (accepts_int, accepts_real) in zip(arg_values, table):
-            if value.rows != 1 or value.cols != 1:
-                return False
-            klass = value.klass
-            if klass is IntrinsicClass.REAL:
-                if not accepts_real:
-                    return False
-            elif klass in (IntrinsicClass.INT, IntrinsicClass.BOOL):
-                if not accepts_int:
-                    return False
-            else:
-                return False
-        return True
-
-    def _build_fast_table(self):
-        from repro.typesys.intrinsic import Intrinsic
-        from repro.typesys.mtype import MType
-
-        int_scalar = MType.scalar(Intrinsic.INT)
-        real_scalar = MType.scalar(Intrinsic.REAL)
-        table = []
-        for formal in self.signature.types:
-            accepts_int = int_scalar.leq(formal)
-            accepts_real = real_scalar.leq(formal)
-            if not accepts_int and not accepts_real:
-                return False
-            table.append((accepts_int, accepts_real))
-        return table
 
     def invoke(self, arg_values, nargout: int, rt):
         """Execute with boxed arguments; returns boxed outputs."""
@@ -969,13 +925,19 @@ class _Lowerer:
             node_type = self.ann.type_of(expr)
             if node_type.is_complex:
                 result_kind = RAW_COMPLEX
+            if result_kind == RAW_COMPLEX and expr.op in COMPLEX_BINOPS:
+                return self.callrt(COMPLEX_BINOPS[expr.op], [left, right],
+                                   RAW_COMPLEX), RAW_COMPLEX
             dst = self.fresh(result_kind)
             self.emit("BIN", dst, (left, right), _BINOP_PY[expr.op])
             return dst, result_kind
         if raw and expr.op in ("\\", ".\\"):
-            dst = self.fresh(RAW_REAL if RAW_COMPLEX not in (lkind, rkind) else RAW_COMPLEX)
+            if RAW_COMPLEX in (lkind, rkind):
+                return self.callrt("c_div", [right, left],
+                                   RAW_COMPLEX), RAW_COMPLEX
+            dst = self.fresh(RAW_REAL)
             self.emit("BIN", dst, (right, left), "/")
-            return dst, self.reg_kinds[dst]
+            return dst, RAW_REAL
         helper = _BINOP_HELPER[expr.op]
         result = self.callrt(helper, [left, right], BOXED)
         return self._coerce_to_annotation(result, BOXED, expr)

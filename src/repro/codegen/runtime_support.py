@@ -14,7 +14,6 @@ operation.
 
 from __future__ import annotations
 
-import cmath
 import math
 import time
 
@@ -326,10 +325,111 @@ m_tan = math.tan
 m_atan = math.atan
 m_floor = math.floor
 m_ceil = math.ceil
-c_sqrt = cmath.sqrt
-c_exp = cmath.exp
-c_log = cmath.log
-c_abs = abs
+
+
+# Complex-capable raw scalar helpers.  They agree bit for bit with the
+# interpreter, which runs the same operations as NumPy loops over 1x1
+# arrays (``runtime.elementwise`` and ``builtins._unary_math``):
+#
+# * a real argument stays real unless it leaves the real domain, so no
+#   zero imaginary part appears where the interpreter has none (complex
+#   NaN arithmetic would later turn it into NaN);
+# * host complex arithmetic rounds ``abs``, division and powers
+#   differently from NumPy and propagates NaN signs differently, so
+#   ``abs`` and division replay NumPy's algorithms in plain floats and
+#   the rarer cases run NumPy itself on 1x1 arrays (its mixed real/complex
+#   loops pick NaN signs by array rank, so 0-d arrays would not do).
+#
+# Finite complex products keep the host product; NumPy may fuse its
+# multiply-add, a last-bit difference on inexact operands only.
+def _raw_view(x) -> np.ndarray:
+    return np.array([[x]], dtype=np.complex128 if isinstance(x, complex)
+                    else np.float64)
+
+
+def c_abs(x):
+    if not isinstance(x, complex):
+        return abs(x)
+    re, im = abs(x.real), abs(x.imag)
+    if not (re < math.inf and im < math.inf):    # an inf or NaN part
+        return float(np.abs(x))
+    if re < im:
+        re, im = im, re
+    if im == 0.0:
+        return re
+    # NumPy's hypot: larger * sqrt(1 + r*r) with ``1 + r*r`` fused into
+    # one rounding; the product's error comes from a Veltkamp split.
+    r = im / re
+    product = r * r
+    split = 134217729.0 * r                      # 2**27 + 1
+    hi = split - (split - r)
+    lo = r - hi
+    error = ((hi * hi - product) + 2.0 * hi * lo) + lo * lo
+    total = 1.0 + product
+    return math.sqrt(total + ((product - (total - 1.0)) + error)) * re
+
+
+def c_sqrt(x):
+    if isinstance(x, complex) or x < 0.0:
+        with np.errstate(invalid="ignore"):
+            return complex(np.sqrt(complex(x)))
+    return math.sqrt(x)
+
+
+def c_exp(x):
+    if not isinstance(x, complex):
+        return math.exp(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(np.exp(x))
+
+
+def c_log(x):
+    if isinstance(x, complex) or x < 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return complex(np.log(complex(x)))
+    return math.log(x) if x != 0.0 else -math.inf
+
+
+def c_mul(x, y):
+    product = x * y
+    if product - product != 0:                   # an inf or NaN part
+        return np.multiply(_raw_view(x), _raw_view(y)).item()
+    return product
+
+
+def c_div(x, y):
+    if not (isinstance(x, complex) or isinstance(y, complex)):
+        return x / y
+    xr, xi = x.real, x.imag
+    yr, yi = y.real, y.imag
+    if x - x != 0 or y - y != 0 or yr == yi == 0.0:     # inf, NaN or 0 divisor
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.true_divide(_raw_view(x), _raw_view(y)).item()
+    # Smith's algorithm as NumPy's complex division loop runs it.
+    if abs(yr) >= abs(yi):
+        ratio = yi / yr
+        scale = 1.0 / (yr + yi * ratio)
+        return complex((xr + xi * ratio) * scale, (xi - xr * ratio) * scale)
+    ratio = yr / yi
+    scale = 1.0 / (yi + yr * ratio)
+    return complex((xr * ratio + xi) * scale, (xi * ratio - xr) * scale)
+
+
+def c_pow(x, y):
+    base, exponent = _raw_view(x), _raw_view(y)
+    if (not isinstance(x, complex) and x < 0.0
+            and exponent != np.floor(np.real(exponent))):
+        base = base.astype(np.complex128)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.power(base, exponent).item()
+
+
+#: Raw binary operator -> helper used when the result kind is complex.
+COMPLEX_BINOPS = {
+    "*": "c_mul", ".*": "c_mul",
+    "/": "c_div", "./": "c_div",
+    "^": "c_pow", ".^": "c_pow",
+}
 
 
 def m_round(x: float) -> float:
@@ -498,6 +598,9 @@ class RuntimeSupport:
     c_exp = staticmethod(c_exp)
     c_log = staticmethod(c_log)
     c_abs = staticmethod(c_abs)
+    c_mul = staticmethod(c_mul)
+    c_div = staticmethod(c_div)
+    c_pow = staticmethod(c_pow)
     make_string = staticmethod(make_string_value)
     to_int = staticmethod(to_int)
     end_dim = staticmethod(end_dim)

@@ -33,7 +33,7 @@ from repro.frontend import ast_nodes as ast
 from repro.inference.annotations import Annotations, SubscriptSafety
 from repro.inference.engine import InferenceOptions, TypeInferenceEngine
 from repro.codegen.jitgen import CompiledObject, PhaseTimes
-from repro.codegen.runtime_support import SCALAR_MATH
+from repro.codegen.runtime_support import COMPLEX_BINOPS, SCALAR_MATH
 from repro.codegen.select import (
     BOXED,
     RAW_COMPLEX,
@@ -815,6 +815,9 @@ class _SrcEmitter:
                 kind = RAW_INT  # host int arithmetic stays int
             if self.ann.type_of(expr).is_complex:
                 kind = RAW_COMPLEX
+            if kind == RAW_COMPLEX and expr.op in COMPLEX_BINOPS:
+                helper = self.helper(COMPLEX_BINOPS[expr.op])
+                return f"{helper}({left}, {right})", kind
             return f"({left} {_BINOP_PY[expr.op]} {right})", kind
         if raw and expr.op in _CMP_PY:
             return (
@@ -828,9 +831,9 @@ class _SrcEmitter:
                 RAW_REAL,
             )
         if raw and expr.op in ("\\", ".\\"):
-            return f"({right} / {left})", (
-                RAW_COMPLEX if RAW_COMPLEX in (lkind, rkind) else RAW_REAL
-            )
+            if RAW_COMPLEX in (lkind, rkind):
+                return f"{self.helper('c_div')}({right}, {left})", RAW_COMPLEX
+            return f"({right} / {left})", RAW_REAL
         helper = self.helper(_BINOP_HELPER[expr.op])
         return self._annotate(f"{helper}({left}, {right})", BOXED, expr)
 

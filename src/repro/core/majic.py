@@ -411,13 +411,7 @@ class MajicSession:
             # every later dispatch back to the Python kernels (a closed
             # session runs unsupervised, so no native code either).
             self.native.enabled = False
-        repo = self.repository
-        guard = getattr(repo, "guard", None)
-        if guard is not None:
-            guard.compile_deadline = None
-            guard.run_deadline = None
-        repo._run_guard_enabled = False
-        repo.sandbox = None
+        self.repository.disarm_supervision()
 
     @property
     def closed(self) -> bool:

@@ -10,8 +10,8 @@ repository, which locates or compiles suitable code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse
 from repro.interp.environment import Environment
 from repro.interp.interpreter import Interpreter
@@ -30,8 +30,10 @@ class Invocation:
     args: list[MxArray] = field(default_factory=list)
     nargout: int = 1
 
-    @property
+    @cached_property
     def signature(self) -> Signature:
+        """Computed on first use, then reused by the locator, the JIT
+        compile it triggers and the tier controller."""
         return signature_of_values(self.args)
 
 
@@ -42,10 +44,11 @@ class MajicFrontEnd:
         self.repository = repository
         self.sink = sink if sink is not None else OutputSink()
         self.workspace = Environment()
+        # Top-level calls of user functions defer to the repository.
         self.interpreter = Interpreter(
-            function_lookup=self._lookup_source,
+            function_lookup=repository.lookup_function,
             sink=self.sink,
-            call_dispatcher=self._dispatch,
+            call_dispatcher=repository.dispatch,
         )
 
     # ------------------------------------------------------------------
@@ -63,16 +66,3 @@ class MajicFrontEnd:
         """Invoke a function by name through the repository."""
         invocation = Invocation(name=name, args=list(args), nargout=nargout)
         return self.repository.execute(invocation)
-
-    # ------------------------------------------------------------------
-    def _dispatch(self, name: str, args: list[MxArray], nargout: int):
-        """Front-end deferral hook: route user calls to the repository."""
-        if self.repository is None or not self.repository.knows(name):
-            return None
-        invocation = Invocation(name=name, args=args, nargout=nargout)
-        return self.repository.execute(invocation)
-
-    def _lookup_source(self, name: str) -> ast.FunctionDef | None:
-        if self.repository is None:
-            return None
-        return self.repository.lookup_function(name)

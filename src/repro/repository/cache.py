@@ -158,8 +158,6 @@ def unframe_payload(data: bytes) -> bytes:
 def serialize_object(obj: CompiledObject) -> bytes:
     """Pickle a compiled object with its host callable stripped."""
     stripped = replace(obj, emitted=replace(obj.emitted, callable=None))
-    # Drop the lazily built fast-accept table: it is rebuilt on demand.
-    stripped.__dict__.pop("_fast_table", None)
     return serialize_payload(stripped)
 
 

@@ -11,6 +11,9 @@ Responsibilities:
   Manhattan-like distance; a miss triggers JIT compilation ("since this
   typically happens during program execution, where time is at a premium,
   the JIT compiler is used in this situation");
+* a per-function **inline cache** in front of the locator, whose guards
+  (observed class and shape, plus bounded formal ranges) serve a repeated
+  call shape without building a :class:`Signature`;
 * speculative ahead-of-time compilation of everything it knows about
   (:meth:`CodeRepository.speculate_all`), whose compile time is *hidden*
   (performed before the user needs the code);
@@ -41,6 +44,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.analysis.disambiguate import Disambiguator
 from repro.errors import CodegenError, MatlabError, RepositoryError
@@ -51,6 +55,7 @@ from repro.codegen.jitgen import CompiledObject, JitCompiler, JitOptions
 from repro.codegen.runtime_support import RuntimeSupport
 from repro.codegen.srcgen import SourceCompiler, SrcOptions
 from repro.inference.speculation import Speculator
+from repro.interp.frontend import Invocation
 from repro.interp.interpreter import Interpreter
 from repro.faults.plan import SITE_HANG, SITE_OOM
 from repro.obs import DISABLED as DISABLED_OBS
@@ -60,6 +65,7 @@ from repro.resilience import (
     ExecutionGuard,
     ResiliencePolicy,
     SandboxExecutor,
+    SandboxFailure,
 )
 from repro.runtime.builtins import GLOBAL_RANDOM
 from repro.runtime.display import OutputSink
@@ -80,13 +86,19 @@ from repro.repository.diagnostics import (
     DiagnosticsLog,
 )
 from repro.repository.snoop import DirectorySnoop
+from repro.typesys.mtype import MType
 from repro.typesys.signature import Signature
+
+#: Inline-cache entries kept per function (most recent first).
+INLINE_CACHE_ENTRIES = 8
+
+#: Fault sites probed in-process around a supervised compiled run.
+_RUN_PROBES = (SITE_HANG, SITE_OOM)
+
 
 
 @dataclass
 class RepositoryStats:
-    lookups: int = 0
-    hits: int = 0
     jit_compiles: int = 0
     speculative_compiles: int = 0
     fallback_interpreted: int = 0
@@ -201,19 +213,7 @@ class CodeRepository:
             )
             if self.resilience.sandbox else None
         )
-        # Precomputed hot-path switches: the common no-supervision call
-        # pays two attribute checks, nothing more.
-        self._run_guard_enabled = self.resilience.run_deadline is not None
-        # In-process chaos probes (hang/oom on the guarded run path); when
-        # the sandbox tier is on, first runs check these sites in the
-        # child instead, so the in-process probe stays off.
-        self._chaos_run_checks = (
-            fault_plan is not None
-            and self.sandbox is None
-            and any(
-                spec.site in (SITE_HANG, SITE_OOM) for spec in fault_plan.specs
-            )
-        )
+        self._select_run_step()
         # The cache heals itself; give it the session's flight recorder.
         if cache is not None and getattr(cache, "diagnostics", None) is None:
             cache.diagnostics = self.diagnostics
@@ -227,13 +227,16 @@ class CodeRepository:
         self._uncompilable: set[str] = set()
         # (function, mode, PhaseTimes) for every compile this repository ran
         self.compile_log: list[tuple[str, str, object]] = []
-        # Hot-call cache: last object that served each function name.
-        self._fast_cache: dict[str, CompiledObject] = {}
-        # Adaptive-tiering controller (repro.tiering); attached by
-        # TierController.bind() after construction so neither module
-        # imports the other.  When set, execute() routes through the
-        # observed adaptive path instead of hot-path JIT compilation.
+        # Inline cache: name -> ((guard facts, version), ...), most recent
+        # first.  Read without the lock; entries are replaced, never
+        # mutated, and cleared by every change to the version list.
+        self._ic: dict[str, tuple] = {}
+        # Adaptive-tiering controller (repro.tiering), attached through
+        # attach_tiering() so neither module imports the other.  The miss
+        # policy and the per-call hook are bound here, not tested per call.
         self.tiering = None
+        self._on_miss = self._miss_compile
+        self._serve = self._guarded_invoke
         # Deopt strike counts per function (quarantine at max_strikes).
         self._strikes: dict[str, int] = {}
         # Functions whose compile overran the per-function budget.
@@ -256,7 +259,7 @@ class CodeRepository:
         self._interpreter = Interpreter(
             function_lookup=self.lookup_function,
             sink=self.sink,
-            call_dispatcher=self._interp_dispatch,
+            call_dispatcher=self.dispatch,
             fusion=self.jit_options.fusion,
             native=native,
         )
@@ -329,10 +332,9 @@ class CodeRepository:
         """Forget every compilation artifact and verdict about ``name``
         (its source changed or vanished; old conclusions no longer hold)."""
         with self._lock:
-            self._objects.pop(name, None)
+            self._set_versions(name, ())
             self._inlined.pop(name, None)
             self._uncompilable.discard(name)
-            self._fast_cache.pop(name, None)
             self._strikes.pop(name, None)
             self._budget_flagged.discard(name)
             self._generations[name] = self._generations.get(name, 0) + 1
@@ -396,9 +398,7 @@ class CodeRepository:
     # ------------------------------------------------------------------
     def locate(self, invocation) -> CompiledObject | None:
         """Find the best safe compiled version for an invocation."""
-        self.stats.lookups += 1
-        with self._lock:
-            versions = list(self._objects.get(invocation.name, ()))
+        versions = self._objects.get(invocation.name, ())
         if not versions:
             return None
         inv_sig = invocation.signature
@@ -413,14 +413,10 @@ class CodeRepository:
             distance = version.signature.distance(padded)
             if distance < best_distance:
                 best, best_distance = version, distance
-        if best is not None:
-            self.stats.hits += 1
         return best
 
     @staticmethod
     def _pad_signature(signature: Signature, arity: int) -> Signature:
-        from repro.typesys.mtype import MType
-
         if len(signature) == arity:
             return signature
         return Signature.of(
@@ -436,16 +432,27 @@ class CodeRepository:
         repository using a better compiler").
         """
         with self._lock:
-            versions = self._objects.setdefault(obj.name, [])
+            versions = list(self._objects.get(obj.name, ()))
             for index, existing in enumerate(versions):
                 if existing.signature == obj.signature:
                     versions[index] = obj
-                    # The hot-call cache must not keep serving the replaced
-                    # object; swap it for the better recompile.
-                    if self._fast_cache.get(obj.name) is existing:
-                        self._fast_cache[obj.name] = obj
-                    return
-            versions.append(obj)
+                    break
+            else:
+                versions.append(obj)
+            self._set_versions(obj.name, versions)
+
+    def _set_versions(self, name: str, versions) -> None:
+        """The one writer of a function's version list.  ``versions`` is
+        a fresh list: stored lists are replaced, never mutated, so readers
+        need no lock.  Also clears the function's inline cache, whose
+        entries may name a version that is gone or that a newly stored
+        one now beats."""
+        with self._lock:
+            if versions:
+                self._objects[name] = versions
+            else:
+                self._objects.pop(name, None)
+            self._ic.pop(name, None)
 
     def versions_of(self, name: str) -> list[CompiledObject]:
         with self._lock:
@@ -756,7 +763,7 @@ class CodeRepository:
             ):
                 # The compile finished but proved pathological: drop the
                 # object and flag the function so the pass stays cheap.
-                self._remove_version(name, obj)
+                self._drop_version(name, obj)
                 self._budget_flagged.add(name)
                 report.skipped.append((name, "function-budget"))
                 self.stats.budget_skips += 1
@@ -775,7 +782,9 @@ class CodeRepository:
     # Execution
     # ------------------------------------------------------------------
     def execute(self, invocation) -> list[MxArray]:
-        """Serve one invocation: locate, else JIT-compile, then run.
+        """Serve one invocation: an inline-cache hit runs at once; a miss
+        goes to the policy bound at construction (locate, then JIT-compile
+        or interpret).
 
         Every compiled execution is *guarded*: an unexpected (non-MATLAB)
         exception deoptimizes — the failing version is quarantined and the
@@ -783,12 +792,24 @@ class CodeRepository:
         MATLAB-level errors (``error(...)``, subscript violations) are the
         program's own behaviour and propagate unchanged.
         """
+        args = invocation.args
+        for facts, obj in self._ic.get(invocation.name, ()):
+            if _guard_holds(facts, args):
+                return self._serve(invocation, obj)
+        return self._on_miss(invocation)
+
+    def attach_tiering(self, controller) -> None:
+        """Serve through an adaptive tier controller from now on: a miss
+        never compiles on the hot path — the call is interpreted *now*
+        (responsiveness) and the controller promotes the function once it
+        proves hot — and every served call is observed."""
+        self.tiering = controller
+        self._on_miss = self._miss_interpret
+        self._serve = self._serve_observed
+
+    def _miss_compile(self, invocation) -> list[MxArray]:
+        """Static miss policy: locate, else JIT-compile, else interpret."""
         name = invocation.name
-        if self.tiering is not None:
-            return self._execute_adaptive(invocation)
-        cached = self._fast_cache.get(name)
-        if cached is not None and cached.fast_accepts(invocation.args):
-            return self._guarded_invoke(invocation, cached)
         if not self.knows(name):
             raise RepositoryError(f"unknown function '{name}'")
         if name in self._uncompilable:
@@ -807,54 +828,47 @@ class CodeRepository:
                 return self._interpret(invocation)
             try:
                 obj = self.jit_compile(name, invocation.signature)
-            except MatlabError as exc:
-                # Expected compile rejection (unsupported construct).
-                self._uncompilable.add(name)
-                self._record_compile_failure(
-                    name, "jit", exc, invocation.signature
-                )
-                return self._interpret(invocation)
             except Exception as exc:  # noqa: BLE001 - compiler crash
-                # Unexpected compiler crash: interpret now, count a
-                # strike (a deterministic crasher gets quarantined, a
-                # transient fault gets retried on a later call).
+                # Interpret now.  An expected rejection (MatlabError: an
+                # unsupported construct) blacklists the function; a crash
+                # counts a strike (a deterministic crasher gets
+                # quarantined, a transient fault is retried later).
                 self._record_compile_failure(
                     name, "jit", exc, invocation.signature
                 )
-                self._note_strike(name)
+                if isinstance(exc, MatlabError):
+                    self._uncompilable.add(name)
+                else:
+                    self._note_strike(name)
                 return self._interpret(invocation)
-        self._fast_cache[name] = obj
+        self._ic_fill(invocation, obj)
         return self._guarded_invoke(invocation, obj)
 
-    def _execute_adaptive(self, invocation) -> list[MxArray]:
-        """Serve one invocation under the adaptive tier controller.
-
-        Unlike the static path, a repository miss never JIT-compiles on
-        the hot path: the call is interpreted *now* (responsiveness) and
-        the controller promotes the function out-of-band once it proves
-        hot.  Every served call is observed — tier plus wall time — which
-        is the controller's entire input signal.
-        """
-        controller = self.tiering
+    def _miss_interpret(self, invocation) -> list[MxArray]:
+        """Adaptive miss policy: locate, else interpret."""
         name = invocation.name
+        if not self.knows(name):
+            raise RepositoryError(f"unknown function '{name}'")
+        controller = self.tiering
         obj = None
         if not controller.suppressed(name):
-            cached = self._fast_cache.get(name)
-            if cached is not None and cached.fast_accepts(invocation.args):
-                obj = cached
-            else:
-                if not self.knows(name):
-                    raise RepositoryError(f"unknown function '{name}'")
-                # First dispatch restores any persisted profile inline, so
-                # a warm session's first call already runs at its learned
-                # tier (the restore compiles are disk-cache hits).
-                controller.prepare(name)
-                if name not in self._uncompilable:
-                    obj = self.locate(invocation)
-                    if obj is not None:
-                        self._fast_cache[name] = obj
-        elif not self.knows(name):
-            raise RepositoryError(f"unknown function '{name}'")
+            # First dispatch restores any persisted profile inline, so a
+            # warm session's first call already runs at its learned tier
+            # (the restore compiles are disk-cache hits).
+            controller.prepare(name)
+            if name not in self._uncompilable:
+                obj = self.locate(invocation)
+                if obj is not None:
+                    self._ic_fill(invocation, obj)
+        return self._serve_observed(invocation, obj)
+
+    def _serve_observed(self, invocation, obj) -> list[MxArray]:
+        """Serve (``obj`` None interprets) and report tier plus wall time,
+        the controller's entire input signal.  A demoted (suppressed)
+        function is interpreted even on an inline-cache hit."""
+        controller = self.tiering
+        if obj is not None and controller.suppressed(invocation.name):
+            obj = None
         deopts_before = self.stats.deopts
         start = time.perf_counter()
         if obj is not None:
@@ -870,6 +884,17 @@ class CodeRepository:
         controller.observe(invocation, tier, time.perf_counter() - start)
         return results
 
+    def _ic_fill(self, invocation, obj: CompiledObject) -> None:
+        """Cache ``obj`` for calls shaped like this one (most recent first,
+        at most :data:`INLINE_CACHE_ENTRIES` per function)."""
+        name = invocation.name
+        entry = (_guard_facts(invocation.args, obj.signature), obj)
+        with self._lock:
+            # A version dropped since it was located must not be cached.
+            if any(v is obj for v in self._objects.get(name, ())):
+                entries = self._ic.get(name, ())
+                self._ic[name] = (entry,) + entries[: INLINE_CACHE_ENTRIES - 1]
+
     # ------------------------------------------------------------------
     # Guarded deoptimization
     # ------------------------------------------------------------------
@@ -881,31 +906,50 @@ class CodeRepository:
         else:
             self.stats.calls_jit += 1
         self.obs.record_call(tier)
-        tracer = self.obs.tracer
-        if not tracer.enabled:
-            return self._guarded_invoke_raw(invocation, obj)
-        with tracer.span(invocation.name, "execution", tier=tier):
-            return self._guarded_invoke_raw(invocation, obj)
-
-    def _guarded_invoke_raw(
-        self, invocation, obj: CompiledObject
-    ) -> list[MxArray]:
         rng_state = GLOBAL_RANDOM.snapshot()
         sink_mark = self.sink.mark()
+        tracer = self.obs.tracer
         try:
-            if self.sandbox is not None and not getattr(
-                obj, "sandbox_promoted", False
-            ):
-                return self._sandbox_trial(invocation, obj, rng_state, sink_mark)
-            if self._run_guard_enabled or self._chaos_run_checks:
-                return self._supervised_invoke(invocation, obj)
-            return obj.invoke(invocation.args, invocation.nargout, self._rt)
+            if not tracer.enabled:
+                return self._run(invocation, obj)
+            with tracer.span(invocation.name, "execution", tier=tier):
+                return self._run(invocation, obj)
         except MatlabError:
             raise
         except Exception as exc:  # noqa: BLE001 - this is the safety net
             return self._deoptimize(invocation, obj, exc, rng_state, sink_mark)
 
-    def _supervised_invoke(self, invocation, obj: CompiledObject):
+    def _select_run_step(self) -> None:
+        """Choose once how compiled versions run: plainly, under the
+        watchdog, with in-process hang/oom chaos probes inside it (unless
+        the sandbox policy checks those sites in a child), and, while a
+        sandbox is up, as a sandbox trial until the version is promoted."""
+        plan = self.fault_plan
+        if (
+            plan is not None
+            and not self.resilience.sandbox
+            and any(spec.site in _RUN_PROBES for spec in plan.specs)
+        ):
+            step = partial(self._run_supervised, probes=_RUN_PROBES)
+        elif self.guard.run_deadline is not None:
+            step = self._run_supervised
+        else:
+            step = self._run_plain
+        if self.sandbox is not None:
+            step = partial(self._run_sandboxed, step)
+        self._run = step
+
+    def disarm_supervision(self) -> None:
+        """Drop watchdog deadlines and the sandbox (session close)."""
+        self.guard.compile_deadline = None
+        self.guard.run_deadline = None
+        self.sandbox = None
+        self._select_run_step()
+
+    def _run_plain(self, invocation, obj: CompiledObject):
+        return obj.invoke(invocation.args, invocation.nargout, self._rt)
+
+    def _run_supervised(self, invocation, obj: CompiledObject, probes=()):
         """One compiled run under the watchdog deadline.
 
         The chaos probes live *inside* the guard: an injected hang must be
@@ -915,59 +959,54 @@ class CodeRepository:
         """
         name = invocation.name
         with self.guard.run_guard(name):
-            if self._chaos_run_checks:
-                plan = self.fault_plan
-                plan.check(SITE_HANG, name)
-                plan.check(SITE_OOM, name)
+            for site in probes:
+                self.fault_plan.check(site, name)
             return obj.invoke(invocation.args, invocation.nargout, self._rt)
 
-    def _sandbox_trial(
-        self, invocation, obj: CompiledObject, rng_state, sink_mark
-    ) -> list[MxArray]:
-        """First run of a fresh compile, supervised in a forked child.
+    def _run_sandboxed(self, promoted_step, invocation, obj: CompiledObject):
+        """First run of a fresh compile, supervised in a forked child;
+        promoted versions run through ``promoted_step``.
 
         Success applies the child's side effects (transcript, RNG
-        advance) and promotes the object in-process; any sandbox death
-        deoptimizes through the standard chain — the session never sees
-        the crash.
+        advance) and promotes the object in-process; a sandbox death
+        raises :class:`SandboxFailure` into the deopt net — the session
+        never sees the crash.
         """
+        if getattr(obj, "sandbox_promoted", False):
+            return promoted_step(invocation, obj)
         name = invocation.name
         with self._lock:
             functions = dict(self._functions)
         with self.obs.tracer.span("sandbox_trial", "execution", function=name):
             verdict = self.sandbox.trial(
-                obj, functions, invocation.args, invocation.nargout, rng_state
+                obj, functions, invocation.args, invocation.nargout,
+                GLOBAL_RANDOM.snapshot(),
             )
-        if verdict.ok:
-            obj.sandbox_promoted = True
+        if not verdict.ok:
             self.diagnostics.record(
-                SANDBOX_TRIAL, name,
-                detail=verdict.reason
-                or "first run succeeded in the sandbox; promoted in-process",
+                SANDBOX_FAILURE, name,
+                detail=verdict.reason,
                 signature=obj.signature,
             )
-            if not verdict.executed:
-                # No fork on this platform: promoted untried, run here.
-                return obj.invoke(invocation.args, invocation.nargout, self._rt)
-            if verdict.rng_state is not None:
-                GLOBAL_RANDOM.restore(verdict.rng_state)
-            if verdict.sink_text:
-                self.sink.write(verdict.sink_text)
-            if verdict.matlab_error is not None:
-                # The program's own error, replayed with its transcript.
-                raise verdict.matlab_error
-            return verdict.outputs
-        from repro.resilience import SandboxFailure
-
+            raise SandboxFailure(verdict.reason)
+        obj.sandbox_promoted = True
         self.diagnostics.record(
-            SANDBOX_FAILURE, name,
-            detail=verdict.reason,
+            SANDBOX_TRIAL, name,
+            detail=verdict.reason
+            or "first run succeeded in the sandbox; promoted in-process",
             signature=obj.signature,
         )
-        return self._deoptimize(
-            invocation, obj, SandboxFailure(verdict.reason), rng_state,
-            sink_mark,
-        )
+        if not verdict.executed:
+            # No fork on this platform: promoted untried, run here.
+            return promoted_step(invocation, obj)
+        if verdict.rng_state is not None:
+            GLOBAL_RANDOM.restore(verdict.rng_state)
+        if verdict.sink_text:
+            self.sink.write(verdict.sink_text)
+        if verdict.matlab_error is not None:
+            # The program's own error, replayed with its transcript.
+            raise verdict.matlab_error
+        return verdict.outputs
 
     def _deoptimize(
         self, invocation, obj: CompiledObject, exc, rng_state, sink_mark
@@ -977,7 +1016,10 @@ class CodeRepository:
         half-run compiled call first."""
         name = invocation.name
         self.stats.deopts += 1
-        self._evict_version(name, obj)
+        # Quarantine the version everywhere — memory *and* disk, so a
+        # cached crasher can never resurrect in a later session.
+        self._drop_version(name, obj)
+        self._evict_cached(name, obj)
         self.diagnostics.record(
             DEOPT, name,
             detail=f"quarantined {obj.mode} version; re-executing "
@@ -1000,8 +1042,8 @@ class CodeRepository:
             dropped = ()
             if quarantine:
                 self._uncompilable.add(name)
-                dropped = tuple(self._objects.pop(name, ()))
-                self._fast_cache.pop(name, None)
+                dropped = tuple(self._objects.get(name, ()))
+                self._set_versions(name, ())
                 self.stats.quarantines += 1
         if quarantine:
             for obj in dropped:
@@ -1012,23 +1054,13 @@ class CodeRepository:
                 "failed compiled executions",
             )
 
-    def _evict_version(self, name: str, obj: CompiledObject) -> None:
-        """Quarantine one version everywhere — memory *and* disk, so a
-        cached crasher can never resurrect in a later session."""
-        self._drop_version(name, obj)
-        self._evict_cached(name, obj)
-
     def _drop_version(self, name: str, obj: CompiledObject) -> None:
+        """Drop one stored version from memory (a budget discard keeps any
+        persisted copy: it is not a failure, and cheap to reload)."""
         with self._lock:
-            versions = self._objects.get(name)
-            if versions:
-                remaining = [v for v in versions if v is not obj]
-                if remaining:
-                    self._objects[name] = remaining
-                else:
-                    del self._objects[name]
-            if self._fast_cache.get(name) is obj:
-                del self._fast_cache[name]
+            self._set_versions(
+                name, [v for v in self._objects.get(name, ()) if v is not obj]
+            )
 
     def _evict_cached(self, name: str, obj: CompiledObject) -> None:
         key = getattr(obj, "cache_key", None)
@@ -1040,11 +1072,6 @@ class CodeRepository:
                 detail=f"removed cache entry {key[:12]} (version quarantined)",
                 signature=obj.signature,
             )
-
-    def _remove_version(self, name: str, obj: CompiledObject) -> None:
-        """Drop one stored version from memory (budget discard; not a
-        failure — a persisted copy may stay, it is cheap to reload)."""
-        self._drop_version(name, obj)
 
     def _record_compile_failure(
         self, name: str, mode: str, exc, signature=""
@@ -1102,20 +1129,51 @@ class CodeRepository:
 
     def _call_user(self, name: str, args: list[MxArray], nargout: int):
         """Re-entry point for compiled code calling user functions."""
-        from repro.interp.frontend import Invocation
-
         return tuple(
             self.execute(Invocation(name=name, args=args, nargout=nargout))
         )
 
-    def _interp_dispatch(self, name, args, nargout):
-        """The fallback interpreter also routes calls through us, so a
-        single uncompilable function doesn't drag its callees down."""
+    def dispatch(self, name, args, nargout):
+        """Route a user-function call made by an interpreter (the session
+        front end's, or the fallback one, so a single uncompilable
+        function doesn't drag its callees down); None for other names."""
         if not self.knows(name):
             return None
-        from repro.interp.frontend import Invocation
-
         return self.execute(Invocation(name=name, args=args, nargout=nargout))
+
+
+def _guard_facts(args, signature: Signature) -> tuple:
+    """The guard of one inline-cache entry: per argument, the observed
+    class and shape, plus the formal range bounds where that range is not
+    top.  (The locator never accepts a value without a real range, such
+    as a complex one, for a bounded formal: ``type_of_value`` gives it
+    top.)"""
+    return tuple(
+        (value.klass, value.rows, value.cols,
+         None if formal.range.is_top else (formal.range.lo, formal.range.hi))
+        for value, formal in zip(args, signature.types)
+    )
+
+
+def _guard_holds(facts, args) -> bool:
+    """True when every argument matches its guard: exact class and shape,
+    and, under bounds, the value range ``type_of_value`` would derive
+    (NaN anywhere makes it top, which no bounded formal accepts: the
+    comparisons below are false on NaN)."""
+    if len(args) != len(facts):
+        return False
+    for value, (klass, rows, cols, bounds) in zip(args, facts):
+        if value.klass is not klass or value.rows != rows or value.cols != cols:
+            return False
+        if bounds is not None:
+            if rows == 1 and cols == 1:
+                lo = hi = float(value.data[0, 0].real)
+            else:
+                real = value.view().real
+                lo, hi = float(real.min()), float(real.max())
+            if not (bounds[0] <= lo and hi <= bounds[1]):
+                return False
+    return True
 
 
 def _called_names(fn: ast.FunctionDef) -> set[str]:

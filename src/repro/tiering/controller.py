@@ -145,11 +145,12 @@ class TierController:
         so neither module imports the other)."""
         self.repo = repo
         self.cache = repo.cache
-        repo.tiering = self
+        repo.attach_tiering(self)
         repo.diagnostics.add_listener(self._on_event)
 
     # ------------------------------------------------------------------
-    # The per-call hook (called by CodeRepository._execute_adaptive)
+    # The per-call hooks (called by CodeRepository.execute's adaptive
+    # miss policy and observed serve step)
     # ------------------------------------------------------------------
     def suppressed(self, name: str) -> bool:
         state = self._states.get(name)

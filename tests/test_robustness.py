@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from repro import CompileBudget, FaultPlan, InjectedFault, MajicSession, SPARC
-from repro.errors import MatlabError, SubscriptError
+from repro.errors import MatlabError, RepositoryError, SubscriptError
 from repro.faults.harness import run_differential
 from repro.faults.plan import FaultSpec
 from repro.repository.diagnostics import (
@@ -39,6 +39,19 @@ def _sabotage(obj, exc_type=TypeError):
     obj.invoke = boom
 
 
+def _count_invokes(obj) -> list:
+    """Record each call that ``obj`` serves; returns the growing log."""
+    served = []
+    invoke = obj.invoke
+
+    def counted(args, nargout, rt):
+        served.append(args)
+        return invoke(args, nargout, rt)
+
+    obj.invoke = counted
+    return served
+
+
 class TestGuardedDeoptimization:
     def test_unexpected_exception_falls_back_to_interpreter(self, session):
         """Acceptance: an unexpected exception thrown from a compiled
@@ -60,13 +73,17 @@ class TestGuardedDeoptimization:
         bad = session.repository.versions_of("poly")[0]
         _sabotage(bad)
         session.call("poly", 4)
-        # The sabotaged version is gone; the next call recompiles fresh.
+        # The sabotaged version is gone; the next call recompiles fresh
+        # and is served by the recompile, never by the quarantined one.
         assert bad not in session.repository.versions_of("poly")
-        assert session.repository._fast_cache.get("poly") is not bad
         jit_before = session.stats.jit_compiles
         assert session.call("poly", 4) == 1038.0
         assert session.stats.jit_compiles == jit_before + 1
         assert session.stats.deopts == 1
+        (fresh,) = session.repository.versions_of("poly")
+        served = _count_invokes(fresh)
+        assert session.call("poly", 4) == 1038.0
+        assert len(served) == 1 and session.stats.deopts == 1
 
     def test_matlab_errors_still_propagate(self, session):
         """A MATLAB-level error is the program's own behaviour, not a
@@ -266,7 +283,7 @@ class TestInterpreterFallbackPaths:
         session.repository._uncompilable.add("caller")
         assert session.call("caller", 3.0) == 7.0
         assert session.stats.fallback_interpreted >= 1
-        # The callee was still served by compiled code via _interp_dispatch.
+        # The callee was still served by compiled code via dispatch.
         assert session.repository.versions_of("callee")
 
     def test_uncompilable_construct_falls_back(self, session):
@@ -281,35 +298,52 @@ class TestInterpreterFallbackPaths:
 
 
 class TestRepositoryHygiene:
-    def test_unregister_purges_blacklist_and_fast_cache(self, tmp_path):
+    def test_unregister_purges_blacklist_and_served_version(self, tmp_path):
         (tmp_path / "temp.m").write_text("function y = temp(x)\ny = x;\n")
         session = MajicSession()
         session.add_path(tmp_path)
         assert session.call("temp", 5.0) == 5.0
+        # A repeated call is served by the compiled version.
+        (old,) = session.repository.versions_of("temp")
+        served = _count_invokes(old)
+        assert session.call("temp", 5.0) == 5.0 and len(served) == 1
         repo = session.repository
         repo._uncompilable.add("temp")
         repo._strikes["temp"] = 2
         repo._budget_flagged.add("temp")
-        assert "temp" in repo._fast_cache
         (tmp_path / "temp.m").unlink()
         session.rescan()
         assert not repo.knows("temp")
         assert "temp" not in repo._uncompilable
-        assert "temp" not in repo._fast_cache
         assert "temp" not in repo._strikes
         assert "temp" not in repo._budget_flagged
         assert repo.versions_of("temp") == []
+        # The removed function no longer serves calls, not even the
+        # repeated call shape it served before.
+        with pytest.raises(RepositoryError):
+            session.call("temp", 5.0)
+        assert len(served) == 1
+        # A new function of the same name runs its own body.
+        (tmp_path / "temp.m").write_text("function y = temp(x)\ny = x + 1;\n")
+        session.rescan()
+        assert session.call("temp", 5.0) == 6.0
+        assert len(served) == 1
 
-    def test_store_replacement_updates_fast_cache(self, session):
+    def test_store_replacement_serves_the_recompile(self, session):
         session.add_source(POLY)
         session.call("poly", 4)
         repo = session.repository
-        old = repo._fast_cache["poly"]
+        (old,) = repo.versions_of("poly")
         replacement = repo.jit_compile("poly", old.signature)
-        assert repo._fast_cache["poly"] is replacement
-        assert repo._fast_cache["poly"] is not old
-        # Reads through the hot path use the recompiled object.
+        assert replacement is not old
+        assert repo.versions_of("poly") == [replacement]
+        # Calls of the shape the old version served now run the
+        # recompiled object; the replaced one never runs again.
+        _sabotage(old)
+        served = _count_invokes(replacement)
         assert session.call("poly", 4) == 1038.0
+        assert len(served) == 1
+        assert session.stats.deopts == 0
 
 
 class TestRecursionLimitSetting:

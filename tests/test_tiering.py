@@ -127,6 +127,9 @@ class FakeRepo:
         self.spec_ok = spec_ok
         self.tiering = None
 
+    def attach_tiering(self, controller):
+        self.tiering = controller
+
     def jit_compile(self, name, signature, budget=None):
         self.jit_calls.append((name, signature))
         if not self.jit_ok:
