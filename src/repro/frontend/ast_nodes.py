@@ -9,16 +9,53 @@ remain distinguishable.
 between array indexing, a builtin call and a user-function call (Section
 2.1).  The parser always produces an ``Apply`` node; the disambiguator
 resolves its :attr:`Apply.kind`.
+
+Deep copies (the inliner copies every body it rewrites) go field by field
+through :func:`_deepcopy_node` rather than the generic pickle-protocol
+path: nodes, lists and tuples are copied, immutable leaves are shared.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field
 
 from repro.errors import SourceLocation
 
 _LOC = SourceLocation()
+
+#: Field values a deep copy shares: immutable, and never a node.
+_SHARED = (str, int, float, type(None), enum.Enum, SourceLocation)
+
+
+def _deepcopy_node(node, memo):
+    """``__deepcopy__`` of every node: a new node of the same class whose
+    fields are copied through ``memo`` (a node reachable twice is copied
+    once, as with :func:`copy.deepcopy`)."""
+    clone = object.__new__(type(node))
+    memo[id(node)] = clone
+    fields = clone.__dict__
+    for name, value in node.__dict__.items():
+        fields[name] = _copy_field(value, memo)
+    return clone
+
+
+def _copy_field(value, memo):
+    if isinstance(value, _SHARED):
+        return value
+    clone = memo.get(id(value))
+    if clone is not None:
+        return clone
+    if isinstance(value, _NODES):
+        return _deepcopy_node(value, memo)
+    if type(value) is list:
+        clone = memo[id(value)] = []
+        clone.extend([_copy_field(item, memo) for item in value])
+        return clone
+    if type(value) is tuple:
+        return tuple([_copy_field(item, memo) for item in value])
+    return copy.deepcopy(value, memo)
 
 
 # ======================================================================
@@ -29,6 +66,8 @@ class Expr:
     """Base class for expression nodes."""
 
     location: SourceLocation = field(default=_LOC, kw_only=True)
+
+    __deepcopy__ = _deepcopy_node
 
 
 @dataclass(eq=False)
@@ -136,6 +175,8 @@ class Apply(Expr):
 class Stmt:
     location: SourceLocation = field(default=_LOC, kw_only=True)
 
+    __deepcopy__ = _deepcopy_node
+
 
 @dataclass(eq=False)
 class LValue:
@@ -144,6 +185,8 @@ class LValue:
     name: str
     indices: list[Expr] | None = None
     location: SourceLocation = field(default=_LOC, kw_only=True)
+
+    __deepcopy__ = _deepcopy_node
 
     @property
     def is_indexed(self) -> bool:
@@ -239,6 +282,8 @@ class FunctionDef:
     body: list[Stmt]
     location: SourceLocation = field(default=_LOC, kw_only=True)
 
+    __deepcopy__ = _deepcopy_node
+
     @property
     def nargin(self) -> int:
         return len(self.params)
@@ -246,6 +291,9 @@ class FunctionDef:
     @property
     def nargout(self) -> int:
         return len(self.outputs)
+
+
+_NODES = (Expr, Stmt, LValue, FunctionDef)
 
 
 @dataclass(eq=False)

@@ -57,7 +57,6 @@ class TypeCalculator:
     def __init__(self):
         self._forward: dict[Key, list[Rule]] = {}
         self._backward: dict[Key, list[Rule]] = {}
-        self.applications: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def add(self, rule: Rule) -> None:
@@ -89,9 +88,6 @@ class TypeCalculator:
         """Apply the first matching forward rule; default = all ⊤."""
         for rule in self._forward.get(key, ()):
             if rule.precondition(ctx):
-                self.applications[rule.name] = (
-                    self.applications.get(rule.name, 0) + 1
-                )
                 result = rule.apply(ctx)
                 if len(result) < ctx.nargout:
                     result = result + [
@@ -108,9 +104,6 @@ class TypeCalculator:
         """
         for rule in self._backward.get(key, ()):
             if rule.precondition(ctx):
-                self.applications[rule.name] = (
-                    self.applications.get(rule.name, 0) + 1
-                )
                 return rule.apply(ctx)
         return None
 

@@ -10,7 +10,17 @@ In JIT mode the entry state comes from the invocation's type signature —
 exact intrinsic classes, exact shapes and tight ranges — which is why JIT
 inference, although simple, is very precise (Section 2.4).  The same engine
 run with a speculated signature implements the forward half of speculative
-inference.
+inference; the speculator re-runs it on the final guessed signature only
+when that differs from its last forward pass, and otherwise keeps that
+pass's annotations.
+
+The solver sweeps the blocks round-robin in reverse postorder.  It is
+memoized per block: a block whose input (after the join and any widening)
+equals the input of its previous run keeps its previous output without
+re-running its atoms.  Transfers are deterministic, so this changes no
+result, sweep count or widening point; a textbook worklist would, because
+widening can narrow a block's state back when the same raw input arrives
+again, which makes the results depend on the visit order.
 
 After the fixpoint is reached, a final annotation pass re-walks every atom
 recording per-expression types and classifying every subscript as
@@ -146,6 +156,8 @@ class TypeInferenceEngine:
                 if old_in is not None and widen:
                     incoming = self._widen_env(old_in, incoming)
                 block_in[block.index] = incoming
+                if incoming == old_in:
+                    continue  # same input as its last run: output unchanged
                 env = dict(incoming)
                 for atom in block.atoms:
                     self._transfer(atom, env, record=None)

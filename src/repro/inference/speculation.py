@@ -75,11 +75,12 @@ class Speculator:
 
         param_types: dict[str, MType] = {p: MType.top() for p in fn.params}
         annotations = Annotations()
+        inferred = None  # the signature ``annotations`` were inferred for
         passes = 0
         for _ in range(self.max_passes):
             passes += 1
-            signature = Signature.of(param_types[p] for p in fn.params)
-            annotations = engine.infer(fn, signature, disambiguation)
+            inferred = Signature.of(param_types[p] for p in fn.params)
+            annotations = engine.infer(fn, inferred, disambiguation)
             updated = self._backward_pass(
                 fn, disambiguation, chains, annotations, param_types
             )
@@ -109,7 +110,8 @@ class Speculator:
                 narrowed[name] = True
 
         signature = Signature.of(param_types[p] for p in fn.params)
-        annotations = engine.infer(fn, signature, disambiguation)
+        if signature != inferred:  # else the last pass's annotations stand
+            annotations = engine.infer(fn, signature, disambiguation)
         return SpeculationResult(
             signature=signature,
             annotations=annotations,

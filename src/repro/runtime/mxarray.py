@@ -76,10 +76,8 @@ def classify_ndarray(data: np.ndarray) -> IntrinsicClass:
         return IntrinsicClass.REAL
     finite = np.isfinite(data)
     if np.all(finite) and np.all(data == np.floor(data)):
-        if np.all((data == 0.0) | (data == 1.0)):
-            # Integral 0/1 data is reported as INT, not BOOL: MATLAB bools
-            # only arise from logical operators, which tag them explicitly.
-            return IntrinsicClass.INT
+        # Integral 0/1 data is INT too, not BOOL: MATLAB bools only arise
+        # from logical operators, which tag them explicitly.
         return IntrinsicClass.INT
     return IntrinsicClass.REAL
 

@@ -36,7 +36,7 @@ class MType:
 
     @staticmethod
     def top() -> "MType":
-        return MType(Intrinsic.TOP, Shape.bottom(), Shape.top(), Interval.top())
+        return _TOP
 
     @staticmethod
     def scalar(
@@ -221,6 +221,10 @@ class MType:
             f"MType({self.intrinsic!r}, min{self.minshape!r}, "
             f"max{self.maxshape!r}, rng{self.range!r})"
         )
+
+
+#: The one ⊤ instance (types are frozen, so it is shared).
+_TOP = MType(Intrinsic.TOP, Shape.bottom(), Shape.top(), Interval.top())
 
 
 def join_types(items) -> MType:

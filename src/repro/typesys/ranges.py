@@ -30,7 +30,7 @@ class Interval:
 
     @staticmethod
     def top() -> "Interval":
-        return Interval(-math.inf, math.inf)
+        return _TOP
 
     @staticmethod
     def constant(value: float) -> "Interval":
@@ -199,3 +199,7 @@ class Interval:
         if self.is_bottom:
             return "<nan,nan>"
         return f"<{self.lo},{self.hi}>"
+
+
+#: The one ⊤ instance (intervals are frozen, so it is shared).
+_TOP = Interval(-math.inf, math.inf)

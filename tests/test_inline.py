@@ -1,5 +1,11 @@
 """Inliner tests (Section 2.6.1's inlining rules)."""
 
+import copy
+
+import pytest
+
+from repro.analysis.disambiguate import Disambiguator
+from repro.benchsuite.registry import benchmark, benchmark_names, source_of
 from repro.codegen.inline import Inliner, inline_function
 from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse
@@ -170,3 +176,102 @@ class TestSemantics:
         inliner = Inliner(table.get)
         inliner.run(table["main"])
         assert inliner.inlined_names == {"helper"}
+
+
+# ----------------------------------------------------------------------
+# The field-wise AST deep copy the inliner relies on
+# ----------------------------------------------------------------------
+NODE_BASES = (ast.Expr, ast.Stmt, ast.LValue, ast.FunctionDef)
+
+
+def table1_tables():
+    """One function table per Table 1 program (primary plus helpers)."""
+    for name in benchmark_names():
+        helpers = benchmark(name).helpers
+        yield name, table_of(source_of(name), *(source_of(h) for h in helpers))
+
+
+TABLES = dict(table1_tables())
+
+
+def structure(value):
+    """A node tree as nested tuples of classes, field names and leaves."""
+    if isinstance(value, NODE_BASES):
+        return (type(value).__name__,) + tuple(
+            (key, structure(item)) for key, item in vars(value).items()
+        )
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__,) + tuple(structure(v) for v in value)
+    return value
+
+
+def objects(value, found=None):
+    """Every node, list and tuple object reachable from ``value``."""
+    found = {} if found is None else found
+    if isinstance(value, NODE_BASES):
+        found[id(value)] = value
+        for item in vars(value).values():
+            objects(item, found)
+    elif isinstance(value, (list, tuple)):
+        found[id(value)] = value
+        for item in value:
+            objects(item, found)
+    return found
+
+
+def apply_kinds(fn):
+    return [
+        node.kind
+        for stmt in ast.walk_stmts(fn.body)
+        for top in ast.stmt_exprs(stmt)
+        for node in ast.walk_expr(top)
+        if isinstance(node, ast.Apply)
+    ]
+
+
+@pytest.mark.parametrize("program", sorted(TABLES))
+class TestAstCopy:
+    def test_copy_is_equal_and_shares_no_node(self, program):
+        for fn in TABLES[program].values():
+            clone = copy.deepcopy(fn)
+            assert structure(clone) == structure(fn)
+            shared = objects(fn).keys() & objects(clone).keys()
+            assert not shared
+
+    def test_disambiguating_the_copy_keeps_the_original(self, program):
+        table = TABLES[program]
+        for fn in table.values():
+            before = apply_kinds(fn)
+            clone = copy.deepcopy(fn)
+            Disambiguator(lambda n: n in table).run_function(clone)
+            assert apply_kinds(fn) == before
+            if before:
+                assert apply_kinds(clone) != before
+
+    def test_inliner_output_matches_the_generic_copy(self, program, monkeypatch):
+        table = TABLES[program]
+        fieldwise = structure(Inliner(table.get).run(table[program]))
+        for base in NODE_BASES:
+            monkeypatch.delattr(base, "__deepcopy__")
+        generic = structure(Inliner(table.get).run(table[program]))
+        assert fieldwise == generic
+
+
+def test_node_reachable_twice_is_copied_once():
+    shared = ast.Ident(name="k")
+    indices = [shared, ast.Number(value=1.0)]
+    stmt = ast.Assign(
+        target=ast.LValue(name="a", indices=indices),
+        value=ast.BinaryOp(op="+", left=shared, right=shared),
+    )
+    fn = ast.FunctionDef(
+        name="f", params=["k"], outputs=["a"], body=[stmt, stmt]
+    )
+    clone = copy.deepcopy(fn)
+    first, second = clone.body
+    assert first is second and first is not stmt
+    ident = first.target.indices[0]
+    assert ident is not shared and ident.name == "k"
+    assert first.value.left is ident and first.value.right is ident
+    assert first.target.location is stmt.location  # immutable: shared
+
